@@ -21,6 +21,8 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -45,11 +47,15 @@ var hotPackages = []string{
 	"./internal/train",
 }
 
-// Result is one benchmark's aggregate over the run's repetitions.
+// Result is one benchmark's aggregate over the run's repetitions: the
+// median of each column, plus the ns/op spread so a delta inside the noise
+// is visible as such.
 type Result struct {
 	Pkg         string  `json:"pkg"`
 	Name        string  `json:"name"`
 	NsPerOp     float64 `json:"ns_per_op"`
+	NsMin       float64 `json:"ns_min,omitempty"`
+	NsMax       float64 `json:"ns_max,omitempty"`
 	BytesPerOp  float64 `json:"b_per_op"`
 	AllocsPerOp float64 `json:"allocs_per_op"`
 	Samples     int     `json:"samples"`
@@ -63,7 +69,40 @@ type Run struct {
 	Label   string   `json:"label"`
 	Date    string   `json:"date"`
 	Count   int      `json:"count"`
+	Host    *Host    `json:"host,omitempty"`
 	Results []Result `json:"results"`
+}
+
+// Host fingerprints the machine a run was measured on. GOOS, GOARCH and
+// CPU come from the header lines `go test -bench` prints; the rest from
+// the machine benchhot runs on.
+type Host struct {
+	GOOS       string `json:"goos"`
+	GOARCH     string `json:"goarch"`
+	CPU        string `json:"cpu"`
+	NumCPU     int    `json:"nproc"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	GoVersion  string `json:"go_version"`
+}
+
+var headerLine = regexp.MustCompile(`^(goos|goarch|cpu):\s+(.+)$`)
+
+// hostOf builds the fingerprint for a raw benchmark output.
+func hostOf(raw string) *Host {
+	h := &Host{NumCPU: runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0), GoVersion: runtime.Version()}
+	for _, line := range strings.Split(raw, "\n") {
+		if m := headerLine.FindStringSubmatch(line); m != nil {
+			switch v := strings.TrimSpace(m[2]); m[1] {
+			case "goos":
+				h.GOOS = v
+			case "goarch":
+				h.GOARCH = v
+			case "cpu":
+				h.CPU = v
+			}
+		}
+	}
+	return h
 }
 
 // Trajectory is the file format of BENCH_HOTPATH.json: an append-only
@@ -132,6 +171,7 @@ func main() {
 		Label:   *label,
 		Date:    time.Now().UTC().Format(time.RFC3339),
 		Count:   *count,
+		Host:    hostOf(string(raw)),
 		Results: results,
 	})
 	b, err := json.MarshalIndent(traj, "", "  ")
@@ -216,6 +256,8 @@ func parseRaw(raw string) []Result {
 			Pkg:         key[0],
 			Name:        key[1],
 			NsPerOp:     median(s.ns),
+			NsMin:       slices.Min(s.ns),
+			NsMax:       slices.Max(s.ns),
 			BytesPerOp:  median(s.b),
 			AllocsPerOp: median(s.allocs),
 			Samples:     len(s.ns),

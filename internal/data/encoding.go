@@ -31,6 +31,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+
+	"plshuffle/internal/f32le"
 )
 
 // Encoding selects the on-wire feature representation of a sample batch.
@@ -138,9 +140,7 @@ func AppendSampleBatchEnc(dst []byte, samples []Sample, enc Encoding) []byte {
 				dst = binary.LittleEndian.AppendUint16(dst, fp16FromF32(f))
 			}
 		} else {
-			for _, f := range s.Features {
-				dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(f))
-			}
+			dst = f32le.AppendFloat32s(dst, s.Features)
 		}
 	}
 	return dst
@@ -241,10 +241,8 @@ func decodeSampleBatchV2(dst []Sample, buf []byte) ([]Sample, error) {
 				off += 2
 			}
 		} else {
-			for j := range s.Features {
-				s.Features[j] = math.Float32frombits(binary.LittleEndian.Uint32(buf[off:]))
-				off += 4
-			}
+			f32le.DecodeFloat32s(s.Features, buf[off:])
+			off += 4 * len(s.Features)
 			if featuresFP16Representable(s.Features) {
 				return dst, fmt.Errorf("data: DecodeSampleBatch: sample %d: non-canonical fp32 entry (features are fp16-representable)", i)
 			}

@@ -13,6 +13,7 @@ func FuzzDecodeSample(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 2, 3})
 	f.Add(make([]byte, 28))
+	f.Add(Sample{ID: 4, Label: 0, Features: edgeFeatures(), Bytes: 64}.Encode())
 	f.Fuzz(func(t *testing.T, buf []byte) {
 		s, err := DecodeSample(buf)
 		if err != nil {
@@ -51,6 +52,11 @@ func FuzzDecodeSampleBatch(f *testing.F) {
 		{ID: 2, Label: 3, Features: nil, Bytes: 0},
 		{ID: 3, Label: 1, Features: []float32{1e-30}, Bytes: 8}, // not fp16-representable → fp32 entry
 	}, EncodingFP16Exact))
+	// fp32 edge bit patterns (NaN payloads, ±0, ±Inf, denormals) in a v1
+	// batch and in a v2 fp32 entry.
+	edge := []Sample{{ID: 5, Label: 2, Features: edgeFeatures(), Bytes: 16}}
+	f.Add(EncodeSampleBatch(edge))
+	f.Add(AppendSampleBatchEnc(nil, edge, EncodingFP16Exact))
 	f.Fuzz(func(t *testing.T, buf []byte) {
 		samples, err := DecodeSampleBatch(buf)
 		if err != nil {

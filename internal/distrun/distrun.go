@@ -9,15 +9,14 @@
 package distrun
 
 import (
-	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 	"net"
 	"time"
 
 	"plshuffle/internal/data"
+	"plshuffle/internal/f32le"
 	"plshuffle/internal/mpi"
 	"plshuffle/internal/nn"
 	"plshuffle/internal/shuffle"
@@ -490,12 +489,10 @@ func trainRank(c *mpi.Comm, o Options, strat shuffle.Strategy, ds *data.Dataset,
 	// / -wire-dedup / -sample-encoding=fp16exact — the cheap handle on the
 	// bitwise-determinism guarantee across real processes.
 	h := crc32.New(crc32.MakeTable(crc32.Castagnoli))
-	var wb [4]byte
+	var wb []byte
 	for _, p := range rr.FinalParams {
-		for _, v := range p.W {
-			binary.LittleEndian.PutUint32(wb[:], math.Float32bits(v))
-			h.Write(wb[:])
-		}
+		wb = f32le.AppendFloat32s(wb[:0], p.W)
+		h.Write(wb)
 	}
 	fmt.Fprintf(out, "weights crc32c=%08x\n", h.Sum32())
 

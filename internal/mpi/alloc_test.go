@@ -26,15 +26,16 @@ func TestAllreduceSingleRankZeroAlloc(t *testing.T) {
 
 // TestAllreduceSteadyStateAllocBound bounds the allocation cost of the
 // ring Allreduce on a reused buffer across a 4-rank inproc world. The ring
-// now sends chunk sub-slices directly (the inproc backend's defensive
-// ClonePayload copy is the single remaining per-send allocation) and reuses
-// the chunk-bounds scratch, so steady-state cost is a small constant per
-// ring step: the clone, the Request, and mailbox bookkeeping — ≈120
-// allocs/op across all four ranks for this shape (≈5 per rank per ring
-// step), independent of the element count. The bound below is ~2× that
-// measurement; it fails loudly if per-element or per-byte allocations ever
-// sneak back in (the pre-optimization path cost roughly twice as much from
-// its per-step send copies).
+// sends chunk sub-slices directly and reuses the chunk-bounds scratch, and
+// the inproc backend's defensive ClonePayload copy comes from the
+// transport's float32 pool, to which the ring returns each received chunk
+// once consumed (DESIGN.md §17). What is left is a small constant per ring
+// step: the clone's interface box, the Request, and mailbox bookkeeping —
+// ≈96 allocs/op across all four ranks for this shape (4 per rank per ring
+// step), independent of the element count. A clone that is not recycled
+// costs one more allocation per ring step (≈120 allocs/op, the cost before
+// the pool), and per-step send copies cost roughly twice that, so the
+// bound sits between the measurement and the first of those.
 func TestAllreduceSteadyStateAllocBound(t *testing.T) {
 	skipIfRace(t)
 	const (
@@ -77,9 +78,10 @@ func TestAllreduceSteadyStateAllocBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Allocation budget per Allreduce across all 4 ranks. Each rank runs
-	// 2*(ranks-1)=6 ring steps; each step costs an inproc payload clone, a
-	// Request, and mailbox entries. 2× headroom over the measured ~120.
-	const budget = 240
+	// 2*(ranks-1)=6 ring steps; each step costs the clone's interface box,
+	// a Request, and mailbox entries: ~96 measured. An unrecycled clone
+	// per step would add 24 (to ~120).
+	const budget = 110
 	if perOp > budget {
 		t.Fatalf("steady-state Allreduce allocates %.1f times per op across %d ranks, budget %d", perOp, ranks, budget)
 	}

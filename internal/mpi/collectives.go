@@ -258,7 +258,9 @@ func ringAllreduce[T Number](c *Comm, buf []T, op Op, seq int, bounds []int, wir
 			if wire {
 				recv += transport.FrameWireSize(payload)
 			}
-			reduceInto(chunk(recvIdx), payload.([]T), op)
+			in := payload.([]T)
+			reduceInto(chunk(recvIdx), in, op)
+			recycle(in)
 		}
 	}
 	// Phase 2: allgather of the reduced chunks around the ring.
@@ -277,10 +279,24 @@ func ringAllreduce[T Number](c *Comm, buf []T, op Op, seq int, bounds []int, wir
 			if wire {
 				recv += transport.FrameWireSize(payload)
 			}
-			copy(chunk(recvIdx), payload.([]T))
+			in := payload.([]T)
+			copy(chunk(recvIdx), in)
+			recycle(in)
 		}
 	}
 	return sent, recv
+}
+
+// recycle hands a received ring chunk back to the transport's float32 pool.
+// The chunk is the receiver's own copy — a wire backend's decoded slice or
+// the inproc backend's defensive clone — and the ring has finished reading
+// it, so returning it is what keeps a steady-state all-reduce free of
+// per-chunk allocations (DESIGN.md §17). No other collective returns
+// buffers: their results escape to the caller.
+func recycle[T Number](in []T) {
+	if f, ok := any(in).([]float32); ok {
+		transport.PutFloat32s(f)
+	}
 }
 
 // AllreduceNaive gathers every buffer to rank 0, reduces there, and

@@ -4,7 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
+
+	"plshuffle/internal/f32le"
 )
 
 // Stateful is implemented by layers that carry non-parameter state which a
@@ -59,11 +60,7 @@ func SaveWeights(w io.Writer, model *Sequential) error {
 		if err := binary.Write(w, binary.LittleEndian, uint32(len(p.W))); err != nil {
 			return fmt.Errorf("nn: SaveWeights: %w", err)
 		}
-		buf := make([]byte, 4*len(p.W))
-		for i, v := range p.W {
-			binary.LittleEndian.PutUint32(buf[4*i:], math.Float32bits(v))
-		}
-		if _, err := w.Write(buf); err != nil {
+		if _, err := w.Write(f32le.AppendFloat32s(nil, p.W)); err != nil {
 			return fmt.Errorf("nn: SaveWeights: %w", err)
 		}
 	}
@@ -117,9 +114,7 @@ func LoadWeights(r io.Reader, model *Sequential) error {
 		if _, err := io.ReadFull(r, buf); err != nil {
 			return fmt.Errorf("nn: LoadWeights: reading %q: %w", p.Name, err)
 		}
-		for i := range p.W {
-			p.W[i] = math.Float32frombits(binary.LittleEndian.Uint32(buf[4*i:]))
-		}
+		f32le.DecodeFloat32s(p.W, buf)
 	}
 	return nil
 }

@@ -4,8 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 
+	"plshuffle/internal/f32le"
 	"plshuffle/internal/rng"
 )
 
@@ -211,11 +211,7 @@ func writeSlices(w io.Writer, s [][]float32) error {
 		if err := binary.Write(w, binary.LittleEndian, uint32(len(v))); err != nil {
 			return err
 		}
-		buf := make([]byte, 4*len(v))
-		for i, f := range v {
-			binary.LittleEndian.PutUint32(buf[4*i:], math.Float32bits(f))
-		}
-		if _, err := w.Write(buf); err != nil {
+		if _, err := w.Write(f32le.AppendFloat32s(nil, v)); err != nil {
 			return err
 		}
 	}
@@ -251,9 +247,7 @@ func readSlices(r io.Reader) ([][]float32, error) {
 			return nil, err
 		}
 		v := make([]float32, n)
-		for j := range v {
-			v[j] = math.Float32frombits(binary.LittleEndian.Uint32(buf[4*j:]))
-		}
+		f32le.DecodeFloat32s(v, buf)
 		out[i] = v
 	}
 	return out, nil

@@ -40,9 +40,9 @@ func FuzzFromBytes(f *testing.F) {
 			t.Fatalf("accepted image with negative count %d", sh.Count())
 		}
 		for i := 0; i < sh.Count(); i++ {
-			s, err := sh.View(i)
+			s, err := sh.Sample(i)
 			if err != nil {
-				t.Fatalf("accepted image but View(%d) failed: %v", i, err)
+				t.Fatalf("accepted image but Sample(%d) failed: %v", i, err)
 			}
 			if len(s.Features) <= len(feat) {
 				if _, _, _, _, err := sh.ReadInto(i, feat); err != nil {

@@ -3,19 +3,10 @@ package shard
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
-	"unsafe"
 
 	"plshuffle/internal/data"
+	"plshuffle/internal/f32le"
 )
-
-// hostLittle reports whether this machine is little-endian — the condition
-// for aliasing float32 features straight out of the mapped file bytes. On
-// a big-endian host the readers fall back to an explicit decode.
-var hostLittle = func() bool {
-	x := uint16(1)
-	return *(*byte)(unsafe.Pointer(&x)) == 1
-}()
 
 // Shard is an open, verified, read-only shard. The sample data stays in
 // the page cache via mmap (on unix; an in-memory copy elsewhere), so
@@ -51,8 +42,7 @@ func FromBytes(buf []byte) (*Shard, error) {
 	return &Shard{p: p, buf: buf}, nil
 }
 
-// Close unmaps the shard. Samples previously viewed with View must not be
-// used after Close.
+// Close unmaps the shard.
 func (sh *Shard) Close() error {
 	sh.buf = nil
 	sh.p = parsed{}
@@ -84,28 +74,17 @@ func (sh *Shard) header(i int) (enc []byte, id, label int, sim int64, feat int, 
 	return enc, id, label, sim, feat, nil
 }
 
-// View returns sample i as a data.Sample whose Features alias the mapped
-// file when the host is little-endian (zero-copy; valid only until Close)
-// and are decoded copies otherwise. Callers that need the sample beyond
-// the shard's lifetime must Clone it.
-func (sh *Shard) View(i int) (data.Sample, error) {
+// Sample decodes sample i into a data.Sample with its own copy of the
+// features, so it stays valid after Close.
+func (sh *Shard) Sample(i int) (data.Sample, error) {
 	enc, id, label, sim, feat, err := sh.header(i)
 	if err != nil {
 		return data.Sample{}, err
 	}
 	s := data.Sample{ID: id, Label: label, Bytes: sim}
 	if feat > 0 {
-		raw := enc[sampleHeaderLen:]
-		if hostLittle {
-			// Feature bytes start 4-aligned (header and every sample length
-			// are multiples of 4), so the alias is a legal []float32 view.
-			s.Features = unsafe.Slice((*float32)(unsafe.Pointer(&raw[0])), feat)
-		} else {
-			s.Features = make([]float32, feat)
-			for j := range s.Features {
-				s.Features[j] = math.Float32frombits(binary.LittleEndian.Uint32(raw[4*j:]))
-			}
-		}
+		s.Features = make([]float32, feat)
+		f32le.DecodeFloat32s(s.Features, enc[sampleHeaderLen:])
 	}
 	return s, nil
 }
@@ -122,32 +101,21 @@ func (sh *Shard) ReadInto(i int, feat []float32) (id, label int, sim int64, n in
 	if n > len(feat) {
 		return 0, 0, 0, 0, fmt.Errorf("shard %d: sample %d has %d features, buffer holds %d", sh.p.shardID, i, n, len(feat))
 	}
-	if n == 0 {
-		return id, label, sim, 0, nil
-	}
-	raw := enc[sampleHeaderLen:]
-	if hostLittle {
-		src := unsafe.Slice((*float32)(unsafe.Pointer(&raw[0])), n)
-		copy(feat[:n], src)
-	} else {
-		for j := 0; j < n; j++ {
-			feat[j] = math.Float32frombits(binary.LittleEndian.Uint32(raw[4*j:]))
-		}
-	}
+	f32le.DecodeFloat32s(feat[:n], enc[sampleHeaderLen:])
 	return id, label, sim, n, nil
 }
 
-// Samples decodes every sample in the shard (copies, not views) — the
-// ingest round-trip check and the validation-set loader use it; the
-// training hot path uses ReadInto instead.
+// Samples decodes every sample in the shard — the ingest round-trip check
+// and the validation-set loader use it; the training hot path uses
+// ReadInto instead.
 func (sh *Shard) Samples() ([]data.Sample, error) {
 	out := make([]data.Sample, sh.p.count)
 	for i := range out {
-		v, err := sh.View(i)
+		s, err := sh.Sample(i)
 		if err != nil {
 			return nil, err
 		}
-		out[i] = v.Clone()
+		out[i] = s
 	}
 	return out, nil
 }

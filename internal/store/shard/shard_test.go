@@ -170,7 +170,7 @@ func TestIngestAndOpenDataset(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, err := sh.View(ref.Index)
+		s, err := sh.Sample(ref.Index)
 		if err != nil {
 			t.Fatal(err)
 		}

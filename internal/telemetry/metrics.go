@@ -221,13 +221,19 @@ func (r *Registry) CounterFunc(name, help string, labels Labels, fn func() float
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	r.mu.Lock()
 	// Snapshot the family/series structure so sampling below runs without
-	// blocking registration; series slices are append-only.
+	// blocking registration. Series slices are append-only, so a copy of
+	// each slice header taken under the lock stays valid; reading f.series
+	// after unlocking would race a concurrent register's append.
 	fams := make([]*family, len(r.families))
 	copy(fams, r.families)
+	snap := make([][]series, len(fams))
+	for i, f := range fams {
+		snap[i] = f.series
+	}
 	r.mu.Unlock()
 
 	var b []byte
-	for _, f := range fams {
+	for i, f := range fams {
 		b = b[:0]
 		b = append(b, "# HELP "...)
 		b = append(b, f.name...)
@@ -238,7 +244,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		b = append(b, ' ')
 		b = append(b, f.kind.String()...)
 		b = append(b, '\n')
-		for _, s := range f.series {
+		for _, s := range snap[i] {
 			b = append(b, f.name...)
 			b = append(b, s.labels...)
 			b = append(b, ' ')

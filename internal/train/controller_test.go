@@ -301,8 +301,10 @@ func TestAutoQChaosSoak(t *testing.T) {
 			}
 
 			// Post-recovery agreement: every survivor decided the same Q at
-			// every boundary — the QDecision broadcast and the recovery-time
-			// adoption kept the controllers in lockstep.
+			// every boundary, for the same reason — the QDecision broadcast
+			// and the recovery-time adoption kept the controllers in
+			// lockstep, including on a survivor that skipped the epoch the
+			// failure interrupted.
 			ref := trajectory(survivors[0].Epochs)
 			for i, rr := range survivors[1:] {
 				got := trajectory(rr.Epochs)
@@ -310,6 +312,9 @@ func TestAutoQChaosSoak(t *testing.T) {
 					if got[e] != ref[e] {
 						t.Fatalf("survivors 0 and %d disagree on epoch %d Q: %v vs %v (trajectories %v vs %v)",
 							i+1, e, ref[e], got[e], ref, got)
+					}
+					if a, b := survivors[0].Epochs[e].ControllerReason, rr.Epochs[e].ControllerReason; a != b {
+						t.Fatalf("survivors 0 and %d disagree on epoch %d reason: %q vs %q", i+1, e, a, b)
 					}
 				}
 			}

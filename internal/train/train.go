@@ -21,6 +21,7 @@ import (
 	"runtime"
 	"time"
 
+	"plshuffle/internal/analysis"
 	"plshuffle/internal/data"
 	"plshuffle/internal/mpi"
 	"plshuffle/internal/nn"
@@ -980,9 +981,16 @@ func (w *worker) train() ([]EpochStats, error) {
 			// group one epoch ahead; the resume point skips past the
 			// furthest progress so no epoch (and no exchange tag space) is
 			// ever re-entered.
+			// A skipped epoch still reports the fraction the group planned
+			// it with: the controller state recovery just adopted from the
+			// root, which is at most one boundary ahead of this rank.
 			for skip := epoch + 1; skip < resume && skip < w.cfg.Epochs; skip++ {
-				stats = append(stats, EpochStats{Epoch: skip, Skipped: true,
-					DegradedSlots: es.DegradedSlots, EffectiveQ: es.EffectiveQ})
+				sk := EpochStats{Epoch: skip, Skipped: true,
+					DegradedSlots: es.DegradedSlots, EffectiveQ: es.EffectiveQ}
+				if w.ctrl != nil {
+					sk.ControllerQ, sk.ControllerReason = w.ctrlQ, w.ctrlReason
+				}
+				stats = append(stats, sk)
 			}
 			epoch = resume - 1
 			// Every recovery of a checkpointing run commits a post-shrink
@@ -1252,15 +1260,17 @@ func (w *worker) recoverPeerFailure(epoch int, first *transport.PeerError, es *E
 		// wins (survivors can be one decision apart if the death struck
 		// inside the control broadcast), and the non-domination threshold
 		// moves with the smaller world. SetQ is legal here — recovery left
-		// the exchange window closed (finishExchange or Reset above).
-		qbuf := []float64{w.ctrl.Q()}
+		// the exchange window closed (finishExchange or Reset above). The
+		// decision's reason travels with it, so survivors also agree on
+		// the label their stats report.
+		qbuf := []float64{w.ctrl.Q(), float64(analysis.ReasonCode(w.ctrlReason))}
 		mpi.Bcast(w.comm, qbuf, root)
 		w.ctrl.Adopt(qbuf[0])
 		w.ctrl.SetWorld(w.comm.GroupSize())
 		if serr := w.exchanger.SetQ(qbuf[0]); serr != nil {
 			return 0, serr
 		}
-		w.ctrlQ = qbuf[0]
+		w.ctrlQ, w.ctrlReason = qbuf[0], analysis.ReasonFromCode(uint8(qbuf[1]))
 		if w.cm != nil {
 			w.cm.Q.Set(w.ctrlQ) // adoption, not a decision: gauge only
 		}

@@ -6,6 +6,7 @@ import (
 	"math"
 
 	"plshuffle/internal/data"
+	"plshuffle/internal/f32le"
 	"plshuffle/internal/tensor"
 )
 
@@ -144,11 +145,7 @@ func AppendPayload(dst []byte, p any) ([]byte, error) {
 		dst = append(dst, codeBytes)
 		return append(dst, v...), nil
 	case []float32:
-		dst = append(dst, codeFloat32)
-		for _, f := range v {
-			dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(f))
-		}
-		return dst, nil
+		return f32le.AppendFloat32s(append(dst, codeFloat32), v), nil
 	case []float64:
 		dst = append(dst, codeFloat64)
 		for _, f := range v {
@@ -213,17 +210,16 @@ func AppendPayload(dst []byte, p any) ([]byte, error) {
 		dst = append(dst, codeMatrix)
 		dst = binary.LittleEndian.AppendUint32(dst, uint32(v.Rows))
 		dst = binary.LittleEndian.AppendUint32(dst, uint32(v.Cols))
-		for _, f := range v.Data {
-			dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(f))
-		}
-		return dst, nil
+		return f32le.AppendFloat32s(dst, v.Data), nil
 	default:
 		return dst, fmt.Errorf("transport: payload type %T is not wire-encodable", p)
 	}
 }
 
 // DecodePayload parses an EncodePayload buffer back into the corresponding
-// Go value. Malformed input returns an error; it never panics.
+// Go value. Malformed input returns an error; it never panics. A decoded
+// []float32 comes from the GetFloat32s pool; the receiver owns it and may
+// hand it back with PutFloat32s once consumed.
 func DecodePayload(buf []byte) (any, error) {
 	if len(buf) == 0 {
 		return nil, fmt.Errorf("transport: empty payload")
@@ -243,10 +239,8 @@ func DecodePayload(buf []byte) (any, error) {
 		if len(body)%4 != 0 {
 			return nil, fmt.Errorf("transport: float32 payload length %d not a multiple of 4", len(body))
 		}
-		out := make([]float32, len(body)/4)
-		for i := range out {
-			out[i] = math.Float32frombits(binary.LittleEndian.Uint32(body[4*i:]))
-		}
+		out := GetFloat32s(len(body) / 4)
+		f32le.DecodeFloat32s(out, body)
 		return out, nil
 	case codeFloat64:
 		if len(body)%8 != 0 {
@@ -339,9 +333,7 @@ func DecodePayload(buf []byte) (any, error) {
 			return nil, fmt.Errorf("transport: matrix payload %dx%d does not match %d data bytes", rows, cols, len(body)-8)
 		}
 		m := tensor.New(rows, cols)
-		for i := range m.Data {
-			m.Data[i] = math.Float32frombits(binary.LittleEndian.Uint32(body[8+4*i:]))
-		}
+		f32le.DecodeFloat32s(m.Data, body[8:])
 		return m, nil
 	default:
 		return nil, fmt.Errorf("transport: unknown payload type code %d", code)
@@ -375,14 +367,10 @@ func PayloadWireSize(p any) int64 {
 		return int64(1 + 8*len(v))
 	case []int32:
 		return int64(1 + 4*len(v))
-	case []int64, []uint64:
-		switch w := p.(type) {
-		case []int64:
-			return int64(1 + 8*len(w))
-		case []uint64:
-			return int64(1 + 8*len(w))
-		}
-		return 1
+	case []int64:
+		return int64(1 + 8*len(v))
+	case []uint64:
+		return int64(1 + 8*len(v))
 	case string:
 		return int64(1 + len(v))
 	case int, float64:

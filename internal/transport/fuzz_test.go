@@ -37,6 +37,11 @@ func FuzzFrameRoundTrip(f *testing.F) {
 		seed(WireFrame{Kind: KindDataZ, Src: 1, Dst: 2, Tag: 99,
 			Payload: wirecomp.Encode(nil, batch)})
 	}
+	if grad, err := EncodePayload(edgeFloat32s()); err == nil {
+		// A gradient chunk carrying NaN payload bits, ±0, ±Inf and
+		// denormals, whose bytes the bulk fp32 codec must keep.
+		seed(WireFrame{Kind: KindData, Src: 0, Dst: 1, Tag: -5, Payload: grad})
+	}
 	if refs, err := EncodePayload(SampleRefs{3, 7, 4096}); err == nil {
 		seed(WireFrame{Kind: KindDataRef, Src: 2, Dst: 0, Tag: 41, Payload: refs})
 	}
@@ -119,6 +124,9 @@ func FuzzPayloadRoundTrip(f *testing.F) {
 		m.Data[i] = float32(i)
 	}
 	seed(m)
+	// fp32 edge bit patterns through both bulk-codec payload types.
+	seed(edgeFloat32s())
+	seed(&tensor.Matrix{Rows: 1, Cols: len(edgeFloat32s()), Data: edgeFloat32s()})
 	f.Add([]byte{})
 	f.Add([]byte{codeMatrix, 0xff, 0xff, 0xff, 0x7f, 0xff, 0xff, 0xff, 0x7f}) // hostile dims
 

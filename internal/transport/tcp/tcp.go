@@ -1252,9 +1252,12 @@ func (c *Conn) dropConn(rank int, conn net.Conn) {
 }
 
 // readLoop decodes inbound frames from one connection until it errors. One
-// persistent frame buffer is reused across reads (ReadFrameInto); the frame
-// payload aliasing it is consumed by DecodePayload before the next read, so
-// the steady-state receive path allocates only the decoded value.
+// persistent frame buffer is reused across reads (ReadFrameInto), and the
+// frame payload aliasing it is consumed by DecodePayload before the next
+// read. The decoded value is the one allocation left per frame, plus the
+// handler's own bookkeeping; a []float32 value comes from the GetFloat32s
+// pool, so a receiver that recycles it (the all-reduce ring) makes even
+// that free in steady state.
 func (c *Conn) readLoop(rank int, conn net.Conn) {
 	br := bufio.NewReaderSize(conn, 64<<10)
 	var scratch []byte

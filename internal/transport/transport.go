@@ -346,11 +346,12 @@ type Resetter interface {
 // semantics hold on shared-memory backends: after a send, mutating the
 // caller's buffer must not affect the receiver. Other payload types are
 // passed by reference; callers sending custom types must treat them as
-// immutable after the send.
+// immutable after the send. A []float32 clone comes from the GetFloat32s
+// pool, like a decoded one on a wire backend.
 func ClonePayload(p any) any {
 	switch v := p.(type) {
 	case []float32:
-		out := make([]float32, len(v))
+		out := GetFloat32s(len(v))
 		copy(out, v)
 		return out
 	case []float64:

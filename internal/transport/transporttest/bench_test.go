@@ -39,3 +39,32 @@ func runAlltoallBench(b *testing.B, bk transporttest.Backend, ranks, elems int) 
 
 func BenchmarkAlltoallInproc(b *testing.B) { runAlltoallBench(b, transporttest.Inproc(), 4, 16<<10) }
 func BenchmarkAlltoallTCP(b *testing.B)    { runAlltoallBench(b, transporttest.TCP(), 4, 16<<10) }
+
+// BenchmarkAllreduceTCP measures the flat gradient sync's wire path: a
+// 2-rank ring AllreduceWire over a 65536-element float32 buffer (the
+// gradient length of the 2-rank benchmark workloads) across localhost TCP
+// sockets — chunk encode, framing, syscalls, decode and reduction. B/op
+// shows whether received chunks are recycled (DESIGN.md §17).
+func BenchmarkAllreduceTCP(b *testing.B) {
+	const elems = 65536
+	b.ReportAllocs()
+	b.SetBytes(elems * 4)
+	err := transporttest.TCP().Run(2, func(c *mpi.Comm) error {
+		buf := make([]float32, elems)
+		c.Barrier()
+		if c.Rank() == 0 {
+			b.ResetTimer()
+		}
+		for i := 0; i < b.N; i++ {
+			mpi.AllreduceWire(c, buf, mpi.OpSum)
+		}
+		c.Barrier()
+		if c.Rank() == 0 {
+			b.StopTimer()
+		}
+		return nil
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+}
